@@ -16,7 +16,6 @@ import math
 import os
 import resource
 import selectors
-import shutil
 import statistics
 import subprocess
 import sys
@@ -48,8 +47,6 @@ from workloads import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-#: Working space of the benchmark inside the checkout (git-ignored).
-WORK = Path(__file__).resolve().parent / ".work"
 CALIBRATION_GRID = "smoke"
 #: Samples beyond the tail percentile (the highest percentile with at
 #: least this many samples beyond it is reported).
@@ -59,33 +56,23 @@ _TICK = os.sysconf("SC_CLK_TCK")
 
 
 # ------------------------------------------------------------- calibration
-def _store() -> ArtifactStore:
-    return ArtifactStore(WORK / "store")
+def build_calibration(store: Path) -> float:
+    """Build the calibration table into *store* (``repro calibrate``).
+
+    Every run builds its own from the checkout's sources, untimed, so a
+    change to the calibration or the simulator is measured with its own
+    table.  Returns the build time (``sage.calibration_build_s``).
+    """
+    t0 = time.perf_counter()
+    build_table(GRIDS[CALIBRATION_GRID], store=ArtifactStore(store))
+    return time.perf_counter() - t0
 
 
-def prepare() -> None:
-    """Build the calibration table once per checkout (``repro calibrate``)."""
-    store = _store()
-    if load_table(store) is None:
-        build_table(GRIDS[CALIBRATION_GRID], store=store)
-
-
-def load_calibration():
-    table = load_table(_store())
+def load_calibration(store: Path):
+    table = load_table(ArtifactStore(store))
     if table is None:
-        raise RuntimeError("no calibration table; prepare() builds it")
+        raise RuntimeError(f"no calibration table in {store}")
     return table
-
-
-def calibration_build_seconds() -> float:
-    """Build the table from scratch in a throw-away store."""
-    root = WORK / f"build-{os.getpid()}"
-    try:
-        t0 = time.perf_counter()
-        build_table(GRIDS[CALIBRATION_GRID], store=ArtifactStore(root))
-        return time.perf_counter() - t0
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
 
 
 # --------------------------------------------------------------- resources
@@ -221,8 +208,10 @@ class Bench:
     #: Untimed priming requests after set-up (none by default).
     prime_count = 0
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int, store: Path | None = None) -> None:
         self.seed = seed
+        #: The run's calibration store (see :func:`build_calibration`).
+        self.store = store
 
     def count(self, seconds: float, short: bool = False) -> int:
         if short:
@@ -274,7 +263,7 @@ class Bench:
     def tiers(self, records: list[Record]) -> dict:
         """Untimed: the three tiers' winners on :meth:`agreement_sample`."""
         return gate.tier_agreement(self.agreement_sample(records),
-                                   Sage(calibration=load_calibration()),
+                                   Sage(calibration=load_calibration(self.store)),
                                    os.cpu_count() or 1)
 
     def close(self) -> None:
@@ -293,7 +282,7 @@ class Bench:
 
 class PredictLocal(Bench):
     name = "predict_local"
-    rate = 32.0
+    rate = 24.0
     block = len(PREDICT_BLOCK)
     #: Decisions checked against the oracle: the run's first ones (the
     #: oracle costs as much as the predictor).
@@ -307,7 +296,7 @@ class PredictLocal(Bench):
         return [predict_ops(self.seed, count)]
 
     def setup(self):
-        self.session = Session(LocalBackend(Sage(calibration=load_calibration())))
+        self.session = Session(LocalBackend(Sage(calibration=load_calibration(self.store))))
         workload, tier = prime_ops(1)[0]
         self.session.predict(workload, fidelity=tier)
 
@@ -326,7 +315,7 @@ class PredictLocal(Bench):
         return result if index < self.oracle_limit else None
 
     def check(self, records):
-        sage = Sage(calibration=load_calibration())
+        sage = Sage(calibration=load_calibration(self.store))
         problems = []
         for record in records:
             if record.result is None:
@@ -398,8 +387,8 @@ class ServeZipf(Bench):
     #: are compared with a local session's decision.
     exact_sample = {"miss": 8, "hit": 4}
 
-    def __init__(self, seed: int) -> None:
-        super().__init__(seed)
+    def __init__(self, seed: int, store: Path | None = None) -> None:
+        super().__init__(seed, store)
         self.clients = os.cpu_count() or 1
         self.block = self.clients
         self.proc: subprocess.Popen | None = None
@@ -644,7 +633,6 @@ def measure_traced(bench: Bench, lists: list[list]) -> dict:
         "sage.rerank_prep_ms": ms(tracing.self_time(
             analysis, layers=("sage", "mint", "formats", "workloads"),
             inside="sage.rerank", skip=("simulate_many",))),
-        "sage.calibration_build_s": calibration_build_seconds(),
         "mint.plan_ms": ms(tracing.self_time(
             analysis, names=("PathPlanner.estimate", "PathPlanner.route"))),
         "mint.plan_hit_ratio": _ratio(plan_hits, plan_calls),
@@ -755,15 +743,15 @@ def ops_digest(bench: Bench, lists: list[list]) -> str:
     return hashlib.blake2s(text.encode(), digest_size=8).hexdigest()
 
 
-def run(name: str, seed: int, seconds: float, trace: bool, short: bool,
-        ready) -> dict:
+def run(name: str, seed: int, store: Path, seconds: float, trace: bool,
+        short: bool, ready) -> dict:
     """Set up one workload, measure it, gate it and tear it down.
 
     *ready* is called once the first operation has returned; ``short``
     runs one block of operations and skips the priming.
     """
     segments = set(active_operand_segments())
-    bench = BENCHES[name](seed)
+    bench = BENCHES[name](seed, store)
     count = bench.count(seconds, short)
     lists = bench.lists(count)
     try:

@@ -14,10 +14,12 @@ any operation failed or the correctness gate found a mismatch.
 
 ``--seconds`` sets a fixed operation count through each workload's nominal
 rate; a run times exactly those operations, however fast the host is.
-This process only orchestrates: ``setup_s`` is the median, over fresh
-probe processes and the measuring process, of process start to the first
-ready operation; the measuring process's standard error is scanned for
-``resource_tracker`` tracebacks.  See ``README.md``.
+This process only orchestrates: it builds the run's calibration table into
+a temporary store, and ``setup_s`` is the median, over fresh probe
+processes (half before the measuring process, half after) and the
+measuring process, of process start to the first ready operation; the
+measuring process's standard error is scanned for ``resource_tracker``
+tracebacks.  See ``README.md``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -37,8 +40,9 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORKLOADS = ("predict_local", "run_cycle", "serve_zipf")
-#: Set-up probes besides the measuring process (whose set-up counts too).
-SETUP_PROBES = 3
+#: Set-up probes besides the measuring process (whose set-up counts too),
+#: half run before it and half after, so their median spans the run.
+SETUP_PROBES = 6
 #: Every run, set-up probes included, ends within this many seconds.
 RUN_BUDGET_S = 170.0
 RESULT_MARK = "PERFBENCH-RESULT "
@@ -80,22 +84,24 @@ def _read_line(proc: subprocess.Popen, deadline: float) -> bytes:
     return line
 
 
-def _child(mode: str, name: str, seed: int, *args: str):
+def _child(mode: str, name: str, seed: int, store: str, *args: str):
     """Start a child in its own process group; return (proc, start time)."""
     t0 = time.perf_counter()
     proc = subprocess.Popen(
-        [sys.executable, str(HERE / "run.py"), mode, name, "--seed", str(seed), *args],
+        [sys.executable, str(HERE / "run.py"), mode, name, "--seed", str(seed),
+         "--store", store, *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(), cwd=ROOT,
         start_new_session=True,
     )
     return proc, t0
 
 
-def setup_seconds(name: str, seed: int, probes: int, deadline: float) -> list[float]:
+def setup_seconds(name: str, seed: int, store: str, probes: int,
+                  deadline: float) -> list[float]:
     """Process start to the first ready operation, once per fresh probe."""
     times = []
     for _ in range(probes):
-        proc, t0 = _child("--probe", name, seed)
+        proc, t0 = _child("--probe", name, seed, store)
         try:
             line = _read_line(proc, deadline)
             times.append(time.perf_counter() - t0)
@@ -117,11 +123,13 @@ def tracker_errors(stderr: str) -> int:
     return sum("resource_tracker" in b and "KeyError" in b for b in blocks)
 
 
-def run_measuring_process(name: str, seed: int, seconds: float, trace: bool,
-                          short: bool, deadline: float) -> tuple[dict, float, str]:
+def run_measuring_process(name: str, seed: int, store: str, seconds: float,
+                          trace: bool, short: bool,
+                          deadline: float) -> tuple[dict, float, str]:
     """Run the measuring process; returns (its result, its set-up, its stderr)."""
     args = ["--seconds", str(seconds), "--trace", str(int(trace))]
-    proc, t0 = _child("--child", name, seed, *args, *(["--short"] if short else []))
+    proc, t0 = _child("--child", name, seed, store, *args,
+                      *(["--short"] if short else []))
     try:
         line = _read_line(proc, deadline)
         setup = time.perf_counter() - t0
@@ -148,16 +156,20 @@ def run_one(name: str, seed: int, seconds: float, trace: bool, *,
     import harness  # noqa: E402 - needs SRC on sys.path
 
     host_before = harness.host_ref_ms()
-    harness.prepare()
-    setups = setup_seconds(name, seed, 0 if trace else probes, deadline)
-    result, setup, stderr = run_measuring_process(
-        name, seed, seconds, trace, short, deadline)
-    setups.append(setup)
+    probes = 0 if trace else probes
+    with tempfile.TemporaryDirectory(prefix=".store-", dir=HERE) as store:
+        build_s = harness.build_calibration(Path(store))
+        setups = setup_seconds(name, seed, store, probes // 2, deadline)
+        result, setup, stderr = run_measuring_process(
+            name, seed, store, seconds, trace, short, deadline)
+        setups += [setup] + setup_seconds(name, seed, store, probes - probes // 2,
+                                          deadline)
     host_after = harness.host_ref_ms()
     metrics = result["metrics"]
     if trace:
         metrics["pool.tracker_errors"] = tracker_errors(stderr)
         metrics["host.ref_ms"] = (host_before + host_after) / 2
+        metrics["sage.calibration_build_s"] = build_s
     else:
         metrics["setup_s"] = statistics.median(setups)
     spec = _spec()
@@ -214,6 +226,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="every workload, untraced and traced, one block each")
     parser.add_argument("--child", choices=WORKLOADS, help=argparse.SUPPRESS)
     parser.add_argument("--probe", choices=WORKLOADS, help=argparse.SUPPRESS)
+    parser.add_argument("--store", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if not (SRC / "repro" / "__init__.py").is_file():
@@ -228,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.probe:
         import harness
 
-        bench = harness.BENCHES[args.probe](args.seed)
+        bench = harness.BENCHES[args.probe](args.seed, args.store)
         try:
             bench.setup()
             ready()
@@ -238,8 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.child:
         import harness
 
-        out = harness.run(args.child, args.seed, args.seconds, bool(args.trace),
-                          args.short, ready)
+        out = harness.run(args.child, args.seed, args.store, args.seconds,
+                          bool(args.trace), args.short, ready)
         print(RESULT_MARK + json.dumps(out))
         return 0
     if args.short:

@@ -61,6 +61,25 @@ def test_a_seed_fixes_the_operation_list_whatever_each_operation_takes(name):
         assert executed == lists
 
 
+def test_serve_warm_band_requests_follow_their_parent_late_enough():
+    import workloads
+
+    lists = workloads.serve_ops(7, 2, 300)
+    warm = 0
+    for ops in lists:
+        first = {}
+        for index, op in enumerate(ops):
+            first.setdefault(op.workload.name, index)
+        for name, index in first.items():
+            parent, marker, _rest = name.rpartition("w")
+            if marker and parent in first:
+                warm += 1
+                assert index - first[parent] >= workloads.WARM_LAG
+                assert workloads._band(ops[index].workload) in workloads._warm_bands(
+                    ops[first[parent]].workload)
+    assert warm >= 10
+
+
 def _short() -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--short", "--seed", "3"],
@@ -116,7 +135,7 @@ def test_counts_and_input_properties_repeat_exactly(two_short_runs):
 def test_fails_without_a_result_outside_a_checkout(tmp_path):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     shutil.copytree(HERE, tmp_path / "perfbench",
-                    ignore=shutil.ignore_patterns(".work", "__pycache__"))
+                    ignore=shutil.ignore_patterns(".store-*", "__pycache__"))
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "predict_local",
          "--seed", "1", "--seconds", "1", "--trace", "0"],

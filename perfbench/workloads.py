@@ -59,16 +59,23 @@ CYCLE_BLOCK = tuple(
 )
 
 #: ``serve_zipf`` traffic: of every block of ``NEW_BLOCK[1]`` requests a
-#: client sends, ``NEW_BLOCK[0]`` name a workload it never sent before, and
-#: every ``NEAR_EVERY``-th of those falls in the near-hit band of one of its
-#: earlier workloads; repeats are Zipf(``ZIPF_S``); the server warms
-#: ``WARM_BANDS`` density bands (``repro serve`` default).  Exact shares,
-#: not coin flips: the hit/near-hit/miss mix sets the median, so it must
-#: not move with the seed.
+#: client sends, ``NEW_BLOCK[0]`` name a workload it never sent before; of
+#: every ``FRESH_CYCLE`` of those, one falls in the near-hit band of one of
+#: its earlier workloads (``NEAR_AT``) and one in a band the server's
+#: speculative warmer filled from one of them (``WARM_AT``); repeats are
+#: Zipf(``ZIPF_S``); the server warms ``WARM_BANDS`` density bands
+#: (``repro serve`` default).  Exact shares, not coin flips: the
+#: hit/near-hit/miss mix sets the median, so it must not move with the seed.
 NEW_BLOCK = (3, 10)
-NEAR_EVERY = 5
+FRESH_CYCLE = 5
+NEAR_AT = 0
+WARM_AT = 3
 ZIPF_S = 1.1
 WARM_BANDS = 1
+#: A warm-band request follows its parent's first request by at least this
+#: many of the client's own requests (about 3 s), so the warmer has filled
+#: the band by then.
+WARM_LAG = 60
 
 
 #: Step of the R4 low-discrepancy sequence: powers of 1/phi_4, where
@@ -269,7 +276,8 @@ class ServeOp:
     ``kind`` is what the server's decision cache must answer: ``"miss"``
     (the client's first request of a workload no cached band covers),
     ``"hit"`` (a repeat of such a workload) or ``"near"`` (a workload in
-    the band of one the client sent before, first request or repeat).
+    the band of one the client sent before, or in a band the warmer filled
+    from one, first request or repeat).
     """
 
     workload: MatrixWorkload | TensorWorkload
@@ -290,10 +298,11 @@ class _BandGuard:
 
     A workload is admitted only if its band is neither taken nor one the
     server's speculative warmer would fill from an admitted workload, and
-    if none of its own warm bands is taken.  Then no request is answered
-    from another client's band or from speculation, whose timing varies
-    from run to run: which requests hit, near-hit or miss is fixed by the
-    operation list alone.
+    if none of its own warm bands is taken.  Then no miss is answered from
+    another client's band or from speculation, whose timing varies from run
+    to run: which requests hit, near-hit or miss is fixed by the operation
+    list alone.  Warm-band requests (:meth:`admit_warm`) are the planned
+    exception: late enough that the warmer has filled their band.
     """
 
     def __init__(self) -> None:
@@ -303,6 +312,16 @@ class _BandGuard:
     def admit(self, workload) -> bool:
         band, warm = _band(workload), _warm_bands(workload)
         if band in self.taken or band in self.warm or warm & self.taken:
+            return False
+        self.taken.add(band)
+        self.warm |= warm
+        return True
+
+    def admit_warm(self, workload, sent: set[tuple]) -> bool:
+        """A request in a warmed band; its near-hit warms bands in turn,
+        which may only be bands the same client has sent already."""
+        band, warm = _band(workload), _warm_bands(workload)
+        if band not in self.warm or (warm & self.taken) - sent:
             return False
         self.taken.add(band)
         self.warm |= warm
@@ -325,6 +344,15 @@ def _sibling(workload, seen: set[tuple]):
     return None
 
 
+def _warm_sibling(parent, seen: set[tuple]):
+    """First-seen workloads in the bands *parent*'s miss warms, within the
+    run's density range (a doubled density may reach 100%)."""
+    for index, candidate in enumerate(warm_candidates(fingerprint_of(parent), WARM_BANDS)):
+        sibling = _sibling(dataclasses.replace(candidate, name=f"{parent.name}w{index}"), seen)
+        if sibling is not None and _density(sibling) <= DENSITY_DECADES[0][0]:
+            yield sibling
+
+
 def serve_first_requests(clients: int) -> list:
     """One fixed set-up request per client, the same for every seed."""
     factory = _Factory(np.random.default_rng(0), "sz-setup")
@@ -340,7 +368,9 @@ def serve_ops(seed: int, clients: int, per_client: int) -> list[list[ServeOp]]:
 
     Three requests in ten, at seeded places in each block, name a workload
     the client never sent (one in five of those a same-band sibling of an
-    earlier one, answered as a near-hit); the rest are truncated Zipf
+    earlier one, and one in five a workload in a band the warmer filled
+    from an earlier one at least :data:`WARM_LAG` requests before; both
+    are answered as near-hits); the rest are truncated Zipf
     (:data:`ZIPF_S`) draws over the client's own earlier workloads, ranked
     by first request.  With closed loops a repeat is therefore always
     cached already, whatever the other client does.
@@ -354,6 +384,8 @@ def serve_ops(seed: int, clients: int, per_client: int) -> list[list[ServeOp]]:
         source = PredictStream(seed, f"sz{slot}", key=13 + 100 * slot)
         rng = np.random.default_rng([seed, 15, slot])
         own: list[ServeOp] = []  # distinct workloads in first-request order
+        first_at: list[int] = []  # index of each one's first request
+        sent: set[tuple] = set()  # bands of this client's sent workloads
         ops = []
         new_at: set[int] = set()
         fresh = 0
@@ -366,29 +398,44 @@ def serve_ops(seed: int, clients: int, per_client: int) -> list[list[ServeOp]]:
                 weights = np.arange(1, len(own) + 1, dtype=float) ** -ZIPF_S
                 rank = int(np.searchsorted(np.cumsum(weights), pick * weights.sum()))
                 op = own[min(rank, len(own) - 1)]
-            elif own and (fresh := fresh + 1) % NEAR_EVERY == 0:
+            elif own and (fresh := fresh + 1) % FRESH_CYCLE == NEAR_AT:
                 parents = [o.workload for o in own if o.kind == "hit"]
                 sibling = _sibling(parents[int(pick * len(parents))], seen)
                 if sibling is not None:
                     op = ServeOp(sibling, "near")
+            elif fresh % FRESH_CYCLE == WARM_AT:
+                parents = [o.workload for o, at in zip(own, first_at)
+                           if o.kind == "hit" and at <= index - WARM_LAG]
+                if parents:
+                    parent = parents[int(pick * len(parents))]
+                    for sibling in _warm_sibling(parent, seen):
+                        if guard.admit_warm(sibling, sent):
+                            op = ServeOp(sibling, "near")
+                            break
             if op is None:
                 while not guard.admit(workload := next(source)[0]):
                     pass
                 op = ServeOp(workload, "miss")
             if identity(op.workload) not in seen:
                 seen.add(identity(op.workload))
+                sent.add(_band(op.workload))
                 own.append(op if op.kind == "near" else ServeOp(op.workload, "hit"))
+                first_at.append(index)
             ops.append(op)
         lists.append(ops)
     return lists
 
 
+def _density(workload: MatrixWorkload | TensorWorkload) -> float:
+    """Density of the workload's sparse operand (A for matrix kernels)."""
+    if isinstance(workload, MatrixWorkload):
+        return workload.density_a
+    return workload.density
+
+
 def density_decade(workload: MatrixWorkload | TensorWorkload) -> int:
     """Index of the :data:`DENSITY_DECADES` bin the workload's A lands in."""
-    density = (
-        workload.density_a if isinstance(workload, MatrixWorkload)
-        else workload.density
-    )
+    density = _density(workload)
     for index, (_hi, lo) in enumerate(DENSITY_DECADES):
         if density >= lo:
             return index
